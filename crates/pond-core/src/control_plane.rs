@@ -364,6 +364,13 @@ impl PondControlPlane {
         std::mem::take(&mut self.pool_dirty)
     }
 
+    /// Whether nothing changed since the last
+    /// [`PondControlPlane::drain_touched`]: no touched host and no pending
+    /// pool resample.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.touched_hosts.is_empty() && !self.pool_dirty
+    }
+
     /// The host with the most free local DRAM (lowest index at ties) and
     /// that amount, in O(log hosts). `None` only for a zero-host plane.
     pub fn most_free_host(&self) -> Option<(usize, Bytes)> {

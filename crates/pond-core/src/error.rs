@@ -41,6 +41,10 @@ pub enum PondError {
     /// The streaming arrival source feeding a replay failed (malformed or
     /// unreadable trace stream).
     TraceStream(String),
+    /// A replay configuration names something that does not exist (for
+    /// example a lifecycle operation on a pool group outside the topology).
+    /// Raised before any control plane is built.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for PondError {
@@ -58,6 +62,7 @@ impl fmt::Display for PondError {
             PondError::Hardware(e) => write!(f, "hardware error: {e}"),
             PondError::HostMemory(e) => write!(f, "host memory error: {e}"),
             PondError::TraceStream(e) => write!(f, "trace stream error: {e}"),
+            PondError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }

@@ -65,6 +65,12 @@
 //! invariant ([`assert_fleet_conserved`]): summed over groups, every slice
 //! is exactly one of free, pinned, or mid-offlining.
 //!
+//! Per-event work is proportional to the groups an event touches: every
+//! mutable plane access marks its group dirty, the post-event peak sweep
+//! visits only dirty groups, and scheduler views are computed on demand
+//! ([`GroupViews`]). Snapshots, lifecycle events that walk every plane,
+//! and schedulers that read every view are the O(groups) exceptions.
+//!
 //! With a single group, [`run_multipool_fleet`] reproduces
 //! [`run_fleet`](crate::fleet::run_fleet) bit for bit — the ladder above
 //! degenerates to exactly the control plane's internal fallback — which the
@@ -99,7 +105,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-/// A per-arrival snapshot of one pool group, offered to [`GroupScheduler`]s.
+/// A snapshot of one pool group at one arrival, computed on demand by
+/// [`GroupViews::get`] for [`GroupScheduler`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupView {
     /// Free pool-buffer capacity the group could online right now.
@@ -124,16 +131,52 @@ impl GroupView {
     }
 }
 
+/// The online pool groups as one arrival sees them, offered to
+/// [`GroupScheduler`]s. Views are computed on demand: [`GroupViews::get`]
+/// runs the per-group scan for one group only when a scheduler asks, so a
+/// scheduler that reads only [`GroupViews::len`] costs nothing per group.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupViews<'a> {
+    planes: &'a [PondControlPlane],
+    online: &'a [usize],
+    request: &'a VmRequest,
+}
+
+impl GroupViews<'_> {
+    /// Number of groups the scheduler may choose from.
+    pub fn len(&self) -> usize {
+        self.online.len()
+    }
+
+    /// Whether no group accepts placements (never the case inside
+    /// [`GroupScheduler::choose`]).
+    pub fn is_empty(&self) -> bool {
+        self.online.is_empty()
+    }
+
+    /// The snapshot of the `i`-th offered group, computed now.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.len()`.
+    pub fn get(&self, i: usize) -> GroupView {
+        GroupView::of(&self.planes[self.online[i]], self.request)
+    }
+}
+
 /// Chooses the home pool group for every arriving VM.
 ///
 /// Implementations may keep state (round-robin cursors, learned load);
 /// [`run_multipool_fleet`] calls [`GroupScheduler::choose`] once per
 /// arrival, in event order, so stateful schedulers see a deterministic
-/// sequence.
+/// sequence. Each [`GroupView`] is computed on demand by
+/// [`GroupViews::get`], so a scheduler pays per group only for the views it
+/// reads: round-robin reads none, while a load-aware scheduler that scans
+/// every view makes its arrivals O(groups).
 pub trait GroupScheduler {
-    /// Picks the home group for `request`. `views` holds one snapshot per
-    /// group; the returned index must be within `views`.
-    fn choose(&mut self, request: &VmRequest, views: &[GroupView]) -> usize;
+    /// Picks the home group for `request` among the `views.len()` offered
+    /// groups; the returned index must be below `views.len()`.
+    fn choose(&mut self, request: &VmRequest, views: GroupViews<'_>) -> usize;
 
     /// Human-readable scheduler name for reports.
     fn name(&self) -> &'static str;
@@ -146,7 +189,7 @@ pub struct RoundRobinScheduler {
 }
 
 impl GroupScheduler for RoundRobinScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
+    fn choose(&mut self, _request: &VmRequest, views: GroupViews<'_>) -> usize {
         let group = self.next % views.len();
         self.next = self.next.wrapping_add(1);
         group
@@ -163,10 +206,9 @@ impl GroupScheduler for RoundRobinScheduler {
 pub struct MostFreePoolScheduler;
 
 impl GroupScheduler for MostFreePoolScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
-        views
-            .iter()
-            .enumerate()
+    fn choose(&mut self, _request: &VmRequest, views: GroupViews<'_>) -> usize {
+        (0..views.len())
+            .map(|i| (i, views.get(i)))
             .min_by_key(|(i, v)| (std::cmp::Reverse(v.pool_free.as_u64()), *i))
             .map(|(i, _)| i)
             .expect("at least one group")
@@ -186,10 +228,9 @@ impl GroupScheduler for MostFreePoolScheduler {
 pub struct TightestFitScheduler;
 
 impl GroupScheduler for TightestFitScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
-        views
-            .iter()
-            .enumerate()
+    fn choose(&mut self, _request: &VmRequest, views: GroupViews<'_>) -> usize {
+        (0..views.len())
+            .map(|i| (i, views.get(i)))
             .min_by_key(|(i, v)| match v.tightest_feasible {
                 // Feasible groups first, tightest fit first, lowest index.
                 Some(free) => (0u8, free.as_u64(), *i),
@@ -385,6 +426,24 @@ pub struct LifecycleEvent {
 pub struct LifecyclePlan {
     /// The scheduled operations, in any order (the event queue sorts them).
     pub events: Vec<LifecycleEvent>,
+}
+
+impl LifecyclePlan {
+    /// Checks that every operation names a group of a `groups`-group fleet.
+    fn validate(&self, groups: usize) -> Result<(), PondError> {
+        for event in &self.events {
+            let (LifecycleOp::RepairEmc { group, .. }
+            | LifecycleOp::DecommissionGroup { group }
+            | LifecycleOp::ExpandGroup { group, .. }) = event.op;
+            if group >= groups {
+                return Err(PondError::InvalidConfig(format!(
+                    "lifecycle {:?} at t={} names group {group} of a {groups}-group fleet",
+                    event.op, event.time
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Proactive QoS-cadence rebalancing: at every snapshot tick, each
@@ -620,6 +679,71 @@ pub fn assert_fleet_conserved_full(planes: &[PondControlPlane]) {
     assert_fleet_conserved(planes);
 }
 
+/// The replay's per-group control planes plus the groups mutably borrowed
+/// since the last peak sweep. Reads go through `Deref` to the slice; every
+/// mutation goes through [`Planes::get_mut`] or [`Planes::iter_mut`], which
+/// mark the groups dirty, so [`Planes::sweep`] visits only the groups an
+/// event could have touched.
+#[derive(Debug)]
+struct Planes {
+    planes: Vec<PondControlPlane>,
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+}
+
+impl Planes {
+    fn new(planes: Vec<PondControlPlane>) -> Self {
+        let is_dirty = vec![false; planes.len()];
+        Planes { planes, dirty: Vec::new(), is_dirty }
+    }
+
+    fn mark(&mut self, group: usize) {
+        if !self.is_dirty[group] {
+            self.is_dirty[group] = true;
+            self.dirty.push(group);
+        }
+    }
+
+    /// Mutable access to one group's plane, marking it for the next sweep.
+    fn get_mut(&mut self, group: usize) -> &mut PondControlPlane {
+        self.mark(group);
+        &mut self.planes[group]
+    }
+
+    /// Mutable access to every plane in group order, marking them all.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut PondControlPlane)> {
+        for group in 0..self.planes.len() {
+            self.mark(group);
+        }
+        self.planes.iter_mut().enumerate()
+    }
+
+    /// Visits every group marked since the last sweep, in marking order,
+    /// and clears the marks. `visit` must drain the plane's touched state
+    /// ([`PondControlPlane::drain_touched`]); debug builds then check that
+    /// no plane was left with undrained changes — a mutation that bypassed
+    /// the marks would trip that check.
+    fn sweep(&mut self, mut visit: impl FnMut(usize, &mut PondControlPlane)) {
+        for &group in &self.dirty {
+            self.is_dirty[group] = false;
+            visit(group, &mut self.planes[group]);
+        }
+        self.dirty.clear();
+        debug_assert!(
+            self.planes.iter().all(PondControlPlane::is_drained),
+            "a plane changed without being marked dirty"
+        );
+    }
+}
+
+impl std::ops::Deref for Planes {
+    type Target = [PondControlPlane];
+
+    fn deref(&self) -> &[PondControlPlane] {
+        &self.planes
+    }
+}
+
 /// FIFO attribution of shared-queue events back to the group that scheduled
 /// them: release and reconfiguration events carry only a time, so each
 /// schedule records `(time → group)` and each pop consumes the front entry
@@ -666,14 +790,14 @@ struct BorrowRung<'a> {
 ///
 /// Propagates any error other than the expected placement failures.
 fn try_borrow_rung(
-    planes: &mut [PondControlPlane],
+    planes: &mut Planes,
     order: &[usize],
     request: &VmRequest,
     now: Duration,
     ctx: &mut BorrowRung<'_>,
 ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
     let home = order[0];
-    let plan = planes[home].plan_pooled(request, now)?;
+    let plan = planes.get_mut(home).plan_pooled(request, now)?;
     // Borrowing only helps when the home plane *wants* pool slices and has
     // a host for the local share: a zero-pool plan or no feasible host would
     // fail identically with borrowed slices.
@@ -693,18 +817,18 @@ fn try_borrow_rung(
         if lender == home || ctx.topology.borrow_hops(home, lender).is_none() {
             continue;
         }
-        let lease = match planes[lender].lend(lender, port_host, plan.pool, now) {
+        let lease = match planes.get_mut(lender).lend(lender, port_host, plan.pool, now) {
             Ok(lease) => lease,
             Err(PondError::PoolExhausted { .. }) => continue,
             Err(other) => return Err(other),
         };
-        match planes[home].commit_borrowed(request, plan, lease, now) {
+        match planes.get_mut(home).commit_borrowed(request, plan, lease, now) {
             Ok(summary) => return Ok(Some((home, summary))),
             Err((error, lease)) => {
                 // Unreachable via the feasibility pre-check above, but a
                 // failed commit must hand the slices straight back to the
                 // lender rather than strand the lease.
-                if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                if let Some(ready) = planes.get_mut(lender).release_lent(lease, now)? {
                     ctx.orphan_releases.push((lender, ceil_secs(ready)));
                 }
                 match error {
@@ -731,7 +855,7 @@ fn try_borrow_rung(
 /// Propagates any error other than the expected placement failures
 /// (`PoolExhausted` on the pooled rungs, `NoFeasibleHost` on both).
 fn place_on_ladder(
-    planes: &mut [PondControlPlane],
+    planes: &mut Planes,
     order: &[usize],
     request: &VmRequest,
     now: Duration,
@@ -739,7 +863,7 @@ fn place_on_ladder(
     mut borrow: Option<BorrowRung<'_>>,
 ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
     for (i, &g) in order.iter().enumerate() {
-        match planes[g].handle_request_pooled(request, now) {
+        match planes.get_mut(g).handle_request_pooled(request, now) {
             Ok(summary) => return Ok(Some((g, summary))),
             Err(PondError::PoolExhausted { .. }) | Err(PondError::NoFeasibleHost { .. }) => {}
             Err(other) => return Err(other),
@@ -757,7 +881,7 @@ fn place_on_ladder(
     }
     if allow_all_local {
         for &g in order {
-            match planes[g].handle_request_all_local(request, now) {
+            match planes.get_mut(g).handle_request_all_local(request, now) {
                 Ok(summary) => return Ok(Some((g, summary))),
                 Err(PondError::NoFeasibleHost { .. }) => {}
                 Err(other) => return Err(other),
@@ -765,6 +889,26 @@ fn place_on_ladder(
         }
     }
     Ok(None)
+}
+
+/// Fills `order` with `group`'s reachable groups that accept placements,
+/// `group` first when it does: the ladder a placement homed there walks.
+fn reachable_online(
+    topology: &PoolGroupTopology,
+    group_state: &[GroupState],
+    group: usize,
+    order: &mut Vec<usize>,
+) {
+    order.clear();
+    order.extend(
+        topology.reachable(group).iter().copied().filter(|&g| group_state[g].accepts_placements()),
+    );
+}
+
+/// Rebuilds `online`, the ascending list of groups that accept placements.
+fn refresh_online(group_state: &[GroupState], online: &mut Vec<usize>) {
+    online.clear();
+    online.extend((0..group_state.len()).filter(|&g| group_state[g].accepts_placements()));
 }
 
 /// Completes a graceful decommission once nothing is left in flight: a
@@ -852,6 +996,9 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
 ) -> Result<MultiPoolOutcome, PondError> {
     let topology = config.group_topology()?;
     let groups = topology.group_count();
+    if let Some(plan) = &config.lifecycle {
+        plan.validate(groups)?;
+    }
     let mut planes = Vec::with_capacity(groups);
     for g in 0..groups {
         let group_config = ControlPlaneConfig {
@@ -861,6 +1008,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
         };
         planes.push(PondControlPlane::with_policy(group_config, policy.clone())?);
     }
+    let mut planes = Planes::new(planes);
     let mut scheduler = config.scheduler.build();
     let accounting = ReplayAccounting::new(&config.control);
 
@@ -915,6 +1063,12 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
     // `Decommissioned`, and an expansion can bring a decommissioned pod
     // back.
     let mut group_state = vec![GroupState::Online; groups];
+    // The groups taking placements, ascending — rebuilt only when a
+    // lifecycle event changes a group's state — and the ladder order of
+    // the placement in hand. Both buffers live across events, so an
+    // arrival allocates nothing.
+    let mut online: Vec<usize> = (0..groups).collect();
+    let mut order: Vec<usize> = Vec::new();
     let mut repair_plan: Vec<PlannedEmcRepair> = Vec::new();
     if let Some(spec) = &config.drill {
         if let DrillKind::EmcWithRepair { mttr_secs } = spec.kind {
@@ -932,15 +1086,12 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
         for event in &plan.events {
             match event.op {
                 LifecycleOp::RepairEmc { group, emc } => {
-                    assert!(group < groups, "lifecycle repair of group {group} of {groups}");
                     repair_plan.push(PlannedEmcRepair { time: event.time, group, emc });
                 }
                 LifecycleOp::DecommissionGroup { group } => {
-                    assert!(group < groups, "lifecycle decommission of group {group} of {groups}");
                     decommissions.push((event.time, group));
                 }
                 LifecycleOp::ExpandGroup { group, capacity } => {
-                    assert!(group < groups, "lifecycle expansion of group {group} of {groups}");
                     expansion_plan.push(PlannedExpansion { group, capacity });
                     expansion_times.push(event.time);
                 }
@@ -968,14 +1119,12 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
         let now = Duration::from_secs(event.time());
         let mut snapshot_time = None;
         match event {
-            Event::Arrival { request_index, .. } => {
+            Event::Arrival { request_index, .. } => 'arrival: {
                 let request = events.take_arrival();
                 // Only `Online` groups take placements; with every group
                 // online (the common case and the whole no-lifecycle path)
-                // this is exactly the historical all-groups flow, index for
-                // index, so lifecycle-free replays stay bit-identical.
-                let online: Vec<usize> =
-                    (0..groups).filter(|&g| group_state[g].accepts_placements()).collect();
+                // `online` is every group in index order, so lifecycle-free
+                // replays stay bit-identical.
                 if online.is_empty() {
                     // Every group is draining or gone: nothing can take the
                     // VM. Attributed to group 0 for want of a home.
@@ -992,19 +1141,13 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             lifetime: request.lifetime,
                         });
                     }
-                    continue;
+                    break 'arrival;
                 }
-                let views: Vec<GroupView> =
-                    online.iter().map(|&g| GroupView::of(&planes[g], &request)).collect();
-                let choice = scheduler.choose(&request, &views);
-                assert!(choice < views.len(), "scheduler chose view {choice} of {}", views.len());
+                let views = GroupViews { planes: &planes, online: &online, request: &request };
+                let choice = scheduler.choose(&request, views);
+                assert!(choice < online.len(), "scheduler chose view {choice} of {}", online.len());
                 let home = online[choice];
-                let order: Vec<usize> = topology
-                    .reachable(home)
-                    .iter()
-                    .copied()
-                    .filter(|&g| group_state[g].accepts_placements())
-                    .collect();
+                reachable_online(&topology, &group_state, home, &mut order);
 
                 // The fallback ladder: pooled in home, the BorrowedNeighbour
                 // lease (borrowing only), pooled in reachable neighbours
@@ -1040,7 +1183,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             lifetime: request.lifetime,
                         });
                     }
-                    continue;
+                    break 'arrival;
                 };
                 cross_group_placements += u64::from(group != home);
                 accounting.record_placement(&mut per_group[group], &request, &summary);
@@ -1094,7 +1237,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 let group = arena.free(token);
                 if group != NO_GROUP {
                     let group = group as usize;
-                    let outcome = planes[group].handle_departure_split(vm, now)?;
+                    let outcome = planes.get_mut(group).handle_departure_split(vm, now)?;
                     if let Some(ready) = outcome.release_ready {
                         let time = ceil_secs(ready);
                         events.schedule_release(time);
@@ -1105,7 +1248,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                     // lender group, not the group the VM ran in.
                     if let Some(lease) = outcome.lease {
                         let lender = lease.lender;
-                        if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                        if let Some(ready) = planes.get_mut(lender).release_lent(lease, now)? {
                             let time = ceil_secs(ready);
                             events.schedule_release(time);
                             release_attribution.push(time, lender);
@@ -1115,7 +1258,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
             }
             Event::Release { time } => {
                 let group = release_attribution.pop(time);
-                planes[group].complete_releases(now);
+                planes.get_mut(group).complete_releases(now);
                 per_group[group].releases_completed += 1;
                 // A draining group's last pending release may have just
                 // landed — only now may the pod be struck off.
@@ -1142,7 +1285,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
             Event::EmcFailure { failure_index, time } => {
                 let failure = &drill_plan[failure_index];
                 let source = failure.group;
-                let outcome = planes[source].handle_emc_failure(failure.emc, now)?;
+                let outcome = planes.get_mut(source).handle_emc_failure(failure.emc, now)?;
                 per_group[source].emc_failures += 1;
                 if O::ENABLED {
                     observer.on_lifecycle_op(&LifecycleTrace {
@@ -1160,12 +1303,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 // pod's surviving EMCs first, then the Octopus neighbours),
                 // then all-local in the same order — or killed when no rung
                 // holds it.
-                let order: Vec<usize> = topology
-                    .reachable(source)
-                    .iter()
-                    .copied()
-                    .filter(|&g| group_state[g].accepts_placements())
-                    .collect();
+                reachable_online(&topology, &group_state, source, &mut order);
                 for affected in outcome.affected {
                     let token = arena
                         .slot_of(affected.vm.0)
@@ -1174,7 +1312,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                     // the arena free while the request is in hand.
                     let request = arena.request(token).clone();
 
-                    if let Some(ready) = planes[source].evacuate_vm(affected.vm, now)? {
+                    if let Some(ready) = planes.get_mut(source).evacuate_vm(affected.vm, now)? {
                         let ready = ceil_secs(ready);
                         events.schedule_release(ready);
                         release_attribution.push(ready, source);
@@ -1271,22 +1409,18 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                         if borrower == source {
                             continue;
                         }
-                        let struck = planes[borrower].strip_borrowed(source, failure.emc);
+                        let struck = planes.get_mut(borrower).strip_borrowed(source, failure.emc);
                         if struck.is_empty() {
                             continue;
                         }
-                        let order: Vec<usize> = topology
-                            .reachable(borrower)
-                            .iter()
-                            .copied()
-                            .filter(|&g| group_state[g].accepts_placements())
-                            .collect();
+                        reachable_online(&topology, &group_state, borrower, &mut order);
                         for affected in struck {
                             let token = arena
                                 .slot_of(affected.vm.0)
                                 .expect("a running VM's id resolves to a live arena slot");
                             let request = arena.request(token).clone();
-                            let outcome = planes[borrower].evacuate_vm_split(affected.vm, now)?;
+                            let outcome =
+                                planes.get_mut(borrower).evacuate_vm_split(affected.vm, now)?;
                             if let Some(ready) = outcome.release_ready {
                                 let ready = ceil_secs(ready);
                                 events.schedule_release(ready);
@@ -1297,7 +1431,9 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             // the ledger with the device.
                             if let Some(lease) = outcome.lease {
                                 let lender = lease.lender;
-                                if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                                if let Some(ready) =
+                                    planes.get_mut(lender).release_lent(lease, now)?
+                                {
                                     let ready = ceil_secs(ready);
                                     events.schedule_release(ready);
                                     release_attribution.push(ready, lender);
@@ -1390,7 +1526,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 // free capacity grow by exactly the same amount, so the
                 // conservation invariant holds through the repair. A repair
                 // of a healthy device is a recorded no-op (zero restored).
-                let restored = planes[repair.group].repair_emc(repair.emc)?;
+                let restored = planes.get_mut(repair.group).repair_emc(repair.emc)?;
                 if !restored.is_zero() {
                     per_group[repair.group].emcs_repaired += 1;
                 }
@@ -1406,19 +1542,15 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 // Idempotent: only an online group can start draining.
                 if group_state[group] == GroupState::Online {
                     group_state[group] = GroupState::Draining;
+                    refresh_online(&group_state, &mut online);
                     // The drain ladder: the pod's reachable online groups
                     // first (the source no longer accepts, so it is already
                     // excluded), then every other online group ascending —
                     // a drain may spill beyond the ring because the whole
                     // pod is leaving, not just one device.
-                    let mut order: Vec<usize> = topology
-                        .reachable(group)
-                        .iter()
-                        .copied()
-                        .filter(|&g| group_state[g].accepts_placements())
-                        .collect();
-                    for (g, state) in group_state.iter().enumerate() {
-                        if state.accepts_placements() && !order.contains(&g) {
+                    reachable_online(&topology, &group_state, group, &mut order);
+                    for &g in &online {
+                        if !order.contains(&g) {
                             order.push(g);
                         }
                     }
@@ -1440,7 +1572,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             .slot_of(vm.0)
                             .expect("a running VM's id resolves to a live arena slot");
                         let request = arena.request(token).clone();
-                        let evacuated = planes[group].evacuate_vm_split(vm, now)?;
+                        let evacuated = planes.get_mut(group).evacuate_vm_split(vm, now)?;
                         if let Some(ready) = evacuated.release_ready {
                             let ready = ceil_secs(ready);
                             events.schedule_release(ready);
@@ -1451,7 +1583,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                         let was_borrowed = evacuated.lease.is_some();
                         if let Some(lease) = evacuated.lease {
                             let lender = lease.lender;
-                            if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                            if let Some(ready) = planes.get_mut(lender).release_lent(lease, now)? {
                                 let ready = ceil_secs(ready);
                                 events.schedule_release(ready);
                                 release_attribution.push(ready, lender);
@@ -1548,18 +1680,14 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             if leaning.is_empty() {
                                 continue;
                             }
-                            let order: Vec<usize> = topology
-                                .reachable(borrower)
-                                .iter()
-                                .copied()
-                                .filter(|&g| group_state[g].accepts_placements())
-                                .collect();
+                            reachable_online(&topology, &group_state, borrower, &mut order);
                             for (vm, pool_before) in leaning {
                                 let token = arena
                                     .slot_of(vm.0)
                                     .expect("a running VM's id resolves to a live arena slot");
                                 let request = arena.request(token).clone();
-                                let evacuated = planes[borrower].evacuate_vm_split(vm, now)?;
+                                let evacuated =
+                                    planes.get_mut(borrower).evacuate_vm_split(vm, now)?;
                                 if let Some(ready) = evacuated.release_ready {
                                     let ready = ceil_secs(ready);
                                     events.schedule_release(ready);
@@ -1567,7 +1695,9 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                                 }
                                 if let Some(lease) = evacuated.lease {
                                     let lender = lease.lender;
-                                    if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                                    if let Some(ready) =
+                                        planes.get_mut(lender).release_lent(lease, now)?
+                                    {
                                         let ready = ceil_secs(ready);
                                         events.schedule_release(ready);
                                         release_attribution.push(ready, lender);
@@ -1671,7 +1801,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
             }
             Event::GroupExpansion { expansion_index, .. } => {
                 let expansion = &expansion_plan[expansion_index];
-                planes[expansion.group].expand_pool(expansion.capacity);
+                planes.get_mut(expansion.group).expand_pool(expansion.capacity);
                 per_group[expansion.group].groups_expanded += 1;
                 if O::ENABLED {
                     observer.on_lifecycle_op(&LifecycleTrace {
@@ -1686,13 +1816,14 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 // decommission.
                 if group_state[expansion.group] == GroupState::Decommissioned {
                     group_state[expansion.group] = GroupState::Online;
+                    refresh_online(&group_state, &mut online);
                 }
             }
             Event::Snapshot { time } => {
                 snapshot_ticks += 1;
                 snapshot_time = Some(time);
                 let mut reclaimed: Vec<(usize, BorrowedReclaim)> = Vec::new();
-                for (group, plane) in planes.iter_mut().enumerate() {
+                for (group, plane) in planes.iter_mut() {
                     let mut pass = plane.run_qos_pass(now)?;
                     // A mitigated *borrowed* VM hands its lease back to the
                     // lending plane, which we cannot touch while iterating —
@@ -1740,7 +1871,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                     per_group[group].borrowed_gib_hours -= moved.as_gib_f64() * remaining_hours;
                     let lender = reclaim.lease.lender;
                     if let Some(ready) =
-                        planes[lender].release_lent(reclaim.lease, reclaim.copy_done)?
+                        planes.get_mut(lender).release_lent(reclaim.lease, reclaim.copy_done)?
                     {
                         let ready = ceil_secs(ready);
                         events.schedule_release(ready);
@@ -1792,7 +1923,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             if planes[dest].tightest_feasible_host(request.memory).is_none() {
                                 continue;
                             }
-                            let evacuated = planes[g].evacuate_vm_split(vm, now)?;
+                            let evacuated = planes.get_mut(g).evacuate_vm_split(vm, now)?;
                             if let Some(ready) = evacuated.release_ready {
                                 let ready = ceil_secs(ready);
                                 events.schedule_release(ready);
@@ -1801,7 +1932,9 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                             let was_borrowed = evacuated.lease.is_some();
                             if let Some(lease) = evacuated.lease {
                                 let lender = lease.lender;
-                                if let Some(ready) = planes[lender].release_lent(lease, now)? {
+                                if let Some(ready) =
+                                    planes.get_mut(lender).release_lent(lease, now)?
+                                {
                                     let ready = ceil_secs(ready);
                                     events.schedule_release(ready);
                                     release_attribution.push(ready, lender);
@@ -1858,9 +1991,10 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
             }
         }
 
-        // Provisioning peaks after every event: each group samples only the
-        // hosts the event touched (usually none).
-        for (group, plane) in planes.iter_mut().enumerate() {
+        // Provisioning peaks after every event: only the groups the event
+        // borrowed mutably are visited, and each samples only the hosts the
+        // event touched (usually none).
+        planes.sweep(|group, plane| {
             track_peaks_touched(
                 plane,
                 &mut per_group[group],
@@ -1868,7 +2002,7 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 &mut peak_host_pool[group],
                 &mut peak_total[group],
             );
-        }
+        });
 
         if O::ENABLED {
             if let Some(time) = snapshot_time {
@@ -2320,11 +2454,74 @@ mod tests {
             policy,
         )
         .unwrap();
-        let view = GroupView::of(&plane, &trace.requests[0]);
+        let planes = [plane];
+        let request = &trace.requests[0];
+        let views = GroupViews { planes: &planes, online: &[0], request };
+        assert_eq!(views.len(), 1);
+        let view = views.get(0);
+        assert_eq!(view, GroupView::of(&planes[0], request));
         assert_eq!(view.pool_free, topology.pool(0).total_capacity());
         assert_eq!(view.running_vms, 0);
-        assert_eq!(view.most_free_host, plane.hosts()[0].local_free());
+        assert_eq!(view.most_free_host, planes[0].hosts()[0].local_free());
         assert!(view.tightest_feasible.is_some());
+    }
+
+    /// `groups` two-host planes sharing one trained policy.
+    fn planes(groups: usize) -> Planes {
+        let trace = small_trace();
+        let cfg = config(PodStyle::Symmetric, 1, GroupSchedulerKind::RoundRobin);
+        let policy = PondPolicy::train(&trace, &cfg.control.policy, cfg.seed);
+        let control = ControlPlaneConfig { hosts: 2, ..cfg.control };
+        Planes::new(
+            (0..groups)
+                .map(|_| PondControlPlane::with_policy(control.clone(), policy.clone()).unwrap())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn the_peak_sweep_visits_exactly_the_borrowed_groups() {
+        fn sweep(planes: &mut Planes) -> Vec<usize> {
+            let mut visited = Vec::new();
+            planes.sweep(|group, plane| {
+                plane.drain_touched(|_, _| {});
+                visited.push(group);
+            });
+            visited
+        }
+        let request = &small_trace().requests[0];
+        for groups in [4, 512] {
+            let mut planes = planes(groups);
+            // Nothing borrowed, nothing visited.
+            assert_eq!(sweep(&mut planes), Vec::<usize>::new());
+            // A placement touches a host and the pool; a bare borrow touches
+            // nothing. Both are visited, each once, in borrowing order.
+            let last = groups - 1;
+            planes.get_mut(last).handle_request_all_local(request, Duration::ZERO).unwrap();
+            let _ = planes.get_mut(1);
+            let _ = planes.get_mut(last);
+            assert!(!planes[last].is_drained());
+            assert_eq!(sweep(&mut planes), vec![last, 1]);
+            assert!(planes.iter().all(PondControlPlane::is_drained));
+            // The marks were cleared by the sweep.
+            assert_eq!(sweep(&mut planes), Vec::<usize>::new());
+            // Walking every plane marks every group.
+            assert_eq!(planes.iter_mut().count(), groups);
+            assert_eq!(sweep(&mut planes), (0..groups).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn lifecycle_plans_naming_missing_groups_are_rejected() {
+        let trace = small_trace();
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin).with_lifecycle(
+            plan(vec![LifecycleEvent {
+                time: 86_400,
+                op: LifecycleOp::DecommissionGroup { group: 9 },
+            }]),
+        );
+        let error = run_multipool_fleet(&trace, &cfg).unwrap_err();
+        assert!(matches!(&error, PondError::InvalidConfig(detail) if detail.contains("group 9")));
     }
 
     #[test]
