@@ -7,6 +7,7 @@
 
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use criterion::{criterion_group, criterion_main, Criterion};
+use pond_core::policy::PondPolicyConfig;
 use pond_core::sensitivity::{SensitivityModel, SensitivityModelConfig};
 use pond_core::untouched::{replay_history, UntouchedMemoryModel, UntouchedModelConfig};
 use std::hint::black_box;
@@ -33,6 +34,21 @@ fn bench_untouched(c: &mut Criterion) {
     let model_config = UntouchedModelConfig { quantile: 0.05, rounds: 30 };
     c.bench_function("untouched_model_training", |b| {
         b.iter(|| black_box(UntouchedMemoryModel::train(&trace.requests, &model_config, 2)))
+    });
+
+    // The fleet benchmark's training shape: the first 40% of one day's
+    // requests on 8,192 servers (~31,600 rows) with the policy's 50 rounds.
+    // The small trace above has too few rows per tree node to show how
+    // training scales.
+    let fleet = ClusterConfig { servers: 8192, duration_days: 1, ..ClusterConfig::azure_like() };
+    let fleet_trace = TraceGenerator::new(fleet, 1).generate(0);
+    let policy = PondPolicyConfig::default();
+    let prefix_len =
+        ((fleet_trace.requests.len() as f64) * policy.training_fraction).round() as usize;
+    let prefix = &fleet_trace.requests[..prefix_len];
+    let prefix_config = UntouchedModelConfig { quantile: policy.untouched_quantile, rounds: 50 };
+    c.bench_function("untouched_model_training_benchmark_prefix", |b| {
+        b.iter(|| black_box(UntouchedMemoryModel::train(prefix, &prefix_config, 2)))
     });
 
     let model = UntouchedMemoryModel::train(&trace.requests, &model_config, 2);

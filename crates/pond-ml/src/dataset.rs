@@ -24,6 +24,7 @@ impl Dataset {
     /// * [`MlError::LabelMismatch`] if `labels.len() != rows.len()`.
     /// * [`MlError::InconsistentRow`] if any row's length differs from the
     ///   number of feature names.
+    /// * [`MlError::NonFinite`] if any feature or label is NaN or infinite.
     pub fn new(
         feature_names: Vec<String>,
         rows: Vec<Vec<f64>>,
@@ -42,6 +43,12 @@ impl Dataset {
                     got: row.len(),
                     expected: feature_names.len(),
                 });
+            }
+            if let Some(column) = row.iter().position(|v| !v.is_finite()) {
+                return Err(MlError::NonFinite { row: i, column: Some(column) });
+            }
+            if !labels[i].is_finite() {
+                return Err(MlError::NonFinite { row: i, column: None });
             }
         }
         Ok(Dataset { feature_names, rows, labels })
@@ -187,6 +194,30 @@ mod tests {
             Dataset::new(vec!["a".into()], vec![vec![1.0, 2.0]], vec![0.0]),
             Err(MlError::InconsistentRow { row: 0, got: 2, expected: 1 })
         );
+    }
+
+    #[test]
+    fn construction_rejects_a_non_finite_feature() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Dataset::new(
+                    vec!["a".into(), "b".into()],
+                    vec![vec![1.0, 2.0], vec![3.0, bad]],
+                    vec![0.0, 1.0]
+                ),
+                Err(MlError::NonFinite { row: 1, column: Some(1) })
+            );
+        }
+    }
+
+    #[test]
+    fn construction_rejects_a_non_finite_label() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Dataset::new(vec!["a".into()], vec![vec![1.0], vec![2.0]], vec![bad, 1.0]),
+                Err(MlError::NonFinite { row: 0, column: None })
+            );
+        }
     }
 
     #[test]

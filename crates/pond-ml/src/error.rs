@@ -32,6 +32,14 @@ pub enum MlError {
         /// Explanation of the constraint that was violated.
         reason: String,
     },
+    /// A feature or label is NaN or infinite. Tree growth orders rows by
+    /// feature value, which is a total order only over finite values.
+    NonFinite {
+        /// Index of the offending row.
+        row: usize,
+        /// The offending feature column, or `None` for the row's label.
+        column: Option<usize>,
+    },
     /// A prediction was requested with the wrong number of features.
     FeatureCountMismatch {
         /// Number of features supplied.
@@ -54,6 +62,12 @@ impl fmt::Display for MlError {
             MlError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
             }
+            MlError::NonFinite { row, column: Some(column) } => {
+                write!(f, "row {row} has a non-finite value in feature column {column}")
+            }
+            MlError::NonFinite { row, column: None } => {
+                write!(f, "row {row} has a non-finite label")
+            }
             MlError::FeatureCountMismatch { got, expected } => {
                 write!(f, "prediction input has {got} features, model expects {expected}")
             }
@@ -74,6 +88,9 @@ mod tests {
         assert!(err.to_string().contains("row 3"));
         let err = MlError::InvalidParameter { name: "trees", reason: "must be > 0".into() };
         assert!(err.to_string().contains("trees"));
+        let err = MlError::NonFinite { row: 4, column: Some(1) };
+        assert!(err.to_string().contains("row 4") && err.to_string().contains("column 1"));
+        assert!(MlError::NonFinite { row: 2, column: None }.to_string().contains("label"));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, SortedColumns, TreeConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Loss function for gradient boosting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,10 +99,15 @@ fn quantile_of(sorted: &mut [f64], q: f64) -> f64 {
 impl GradientBoostedTrees {
     /// Fits the boosted ensemble. Deterministic for a given `seed`.
     ///
+    /// Costs one stable sort per feature for the whole fit, shared by every
+    /// round, plus O(features × n) per level of each round's tree (see the
+    /// [`tree`](crate::tree) module's cost model).
+    ///
     /// # Panics
     ///
-    /// Panics if `rounds` is zero, the learning rate is not in `(0, 1]`, or a
-    /// quantile loss is configured with `q` outside `(0, 1)`.
+    /// Panics if `rounds` is zero, the learning rate is not in `(0, 1]`, a
+    /// quantile loss is configured with `q` outside `(0, 1)`, or the dataset
+    /// has more rows than a `u32` can index.
     pub fn fit(data: &Dataset, config: &GbmConfig, seed: u64) -> Self {
         assert!(config.rounds > 0, "boosting needs at least one round");
         assert!(
@@ -124,6 +128,7 @@ impl GradientBoostedTrees {
 
         let mut predictions = vec![base_prediction; data.len()];
         let mut trees = Vec::with_capacity(config.rounds);
+        let mut columns = SortedColumns::new(data);
 
         for round in 0..config.rounds {
             // Pseudo-residuals: negative gradient of the loss at the current
@@ -138,26 +143,27 @@ impl GradientBoostedTrees {
             };
 
             let tree_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(round as u64);
-            let mut tree =
-                DecisionTree::fit_with_targets(data, &residuals, &config.tree, tree_seed);
+            let (mut tree, leaf_of_row) =
+                DecisionTree::fit_sorted(data, &mut columns, &residuals, &config.tree, tree_seed);
 
             if let Loss::Quantile(q) = config.loss {
                 // Replace leaf means of the gradient with the per-leaf
                 // q-quantile of the raw residuals (y - F), the standard
-                // post-fit adjustment for quantile boosting.
-                let mut leaf_residuals: HashMap<usize, Vec<f64>> = HashMap::new();
-                for (i, &prediction) in predictions.iter().enumerate() {
-                    let leaf = tree.leaf_id(data.row(i));
-                    leaf_residuals.entry(leaf).or_default().push(data.label(i) - prediction);
+                // post-fit adjustment for quantile boosting. A leaf no
+                // training row reached keeps its value.
+                let mut leaf_residuals: Vec<Vec<f64>> = vec![Vec::new(); tree.n_leaves()];
+                for (i, (&prediction, &leaf)) in predictions.iter().zip(&leaf_of_row).enumerate() {
+                    leaf_residuals[leaf].push(data.label(i) - prediction);
                 }
-                tree.adjust_leaves(|leaf, value| match leaf_residuals.get_mut(&leaf) {
-                    Some(rs) => quantile_of(rs, q),
-                    None => value,
+                tree.adjust_leaves(|leaf, value| match leaf_residuals[leaf].as_mut_slice() {
+                    [] => value,
+                    rs => quantile_of(rs, q),
                 });
             }
 
-            for (i, pred) in predictions.iter_mut().enumerate() {
-                *pred += config.learning_rate * tree.predict(data.row(i));
+            let leaf_values = tree.leaf_values();
+            for (pred, &leaf) in predictions.iter_mut().zip(&leaf_of_row) {
+                *pred += config.learning_rate * leaf_values[leaf];
             }
             trees.push(tree);
         }
@@ -231,9 +237,12 @@ impl GradientBoostedTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference;
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_pcg::Pcg64;
+    use std::collections::HashMap;
 
     fn linear_data(n: usize, noise: f64, seed: u64) -> Dataset {
         let mut rng = Pcg64::seed_from_u64(seed);
@@ -241,6 +250,83 @@ mod tests {
         let labels: Vec<f64> =
             rows.iter().map(|r| 3.0 * r[0] + 2.0 + (rng.gen::<f64>() - 0.5) * noise).collect();
         Dataset::new(vec!["x".into()], rows, labels).unwrap()
+    }
+
+    /// The boosting loop as it was before presorted columns: each round
+    /// grows the reference tree and finds every row's leaf by walking it,
+    /// collecting residuals in a `HashMap`.
+    fn reference_fit(data: &Dataset, config: &GbmConfig, seed: u64) -> GradientBoostedTrees {
+        let base_prediction = match config.loss {
+            Loss::SquaredError => data.label_mean(),
+            Loss::Quantile(q) => {
+                let mut labels = data.labels().to_vec();
+                quantile_of(&mut labels, q)
+            }
+        };
+        let mut predictions = vec![base_prediction; data.len()];
+        let mut trees = Vec::with_capacity(config.rounds);
+        for round in 0..config.rounds {
+            let residuals: Vec<f64> = match config.loss {
+                Loss::SquaredError => {
+                    (0..data.len()).map(|i| data.label(i) - predictions[i]).collect()
+                }
+                Loss::Quantile(q) => (0..data.len())
+                    .map(|i| if data.label(i) > predictions[i] { q } else { q - 1.0 })
+                    .collect(),
+            };
+            let tree_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(round as u64);
+            let mut tree = reference::fit_with_targets(data, &residuals, &config.tree, tree_seed);
+            if let Loss::Quantile(q) = config.loss {
+                let mut leaf_residuals: HashMap<usize, Vec<f64>> = HashMap::new();
+                for (i, &prediction) in predictions.iter().enumerate() {
+                    let leaf = tree.leaf_id(data.row(i));
+                    leaf_residuals.entry(leaf).or_default().push(data.label(i) - prediction);
+                }
+                tree.adjust_leaves(|leaf, value| match leaf_residuals.get_mut(&leaf) {
+                    Some(rs) => quantile_of(rs, q),
+                    None => value,
+                });
+            }
+            for (i, pred) in predictions.iter_mut().enumerate() {
+                *pred += config.learning_rate * tree.predict(data.row(i));
+            }
+            trees.push(tree);
+        }
+        GradientBoostedTrees {
+            base_prediction,
+            learning_rate: config.learning_rate,
+            trees,
+            n_features: data.n_features(),
+            loss: config.loss,
+        }
+    }
+
+    proptest! {
+        /// Boosting on shared presorted columns fits exactly the ensemble the
+        /// per-round reference loop fits, under both losses.
+        #[test]
+        fn presorted_boosting_matches_the_reference(
+            (data_seed, n_rows, n_features, levels, duplicates) in
+                (0u64..u64::MAX, 1usize..100, 1usize..5, 1u32..8, proptest::bool::ANY),
+            (quantile, q, rounds, learning_rate, seed) in
+                (proptest::bool::ANY, 0.01f64..0.99, 1usize..8, 0.05f64..1.0, 0u64..1000),
+            (max_depth, min_samples_leaf, max_features) in (1usize..=10, 1usize..=8, 0usize..=4)
+        ) {
+            let data = reference::tied_dataset(data_seed, n_rows, n_features, levels, duplicates);
+            let config = GbmConfig {
+                rounds,
+                learning_rate,
+                loss: if quantile { Loss::Quantile(q) } else { Loss::SquaredError },
+                tree: TreeConfig {
+                    max_depth,
+                    min_samples_leaf,
+                    max_features: (max_features > 0).then(|| (max_features - 1) % n_features + 1),
+                    ..Default::default()
+                },
+            };
+            let model = GradientBoostedTrees::fit(&data, &config, seed);
+            prop_assert_eq!(model, reference_fit(&data, &config, seed));
+        }
     }
 
     #[test]
