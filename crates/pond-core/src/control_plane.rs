@@ -25,8 +25,8 @@ use hypervisor_sim::vm::{VirtualMachine, VmConfig, VmId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
-use workload_model::WorkloadSuite;
 
 /// Static configuration of a control-plane instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -240,7 +240,6 @@ pub struct PondControlPlane {
     monitor: QosMonitor,
     mitigation: MitigationManager,
     telemetry: HypervisorTelemetry,
-    suite: WorkloadSuite,
     running: BTreeMap<u64, VmRecord>,
     rejected: u64,
     /// Incremental mirror of the slice count summed over
@@ -291,8 +290,12 @@ impl PondControlPlane {
     }
 
     /// Builds a control plane around an already-trained policy. Multi-pool
-    /// fleets ([`crate::multipool`]) train the models once and clone the
-    /// policy into every group, instead of retraining per pool.
+    /// fleets ([`crate::multipool`]) train the models once and hand every
+    /// group a clone of the policy. The clones share one copy of the
+    /// models, workload suite and training-seeded history: this plane's QoS
+    /// monitor serves the policy's sensitivity model and its VMs launch
+    /// from the policy's suite. Each plane learns its own completion
+    /// history.
     ///
     /// # Errors
     ///
@@ -303,7 +306,7 @@ impl PondControlPlane {
     ) -> Result<Self, PondError> {
         policy.set_history_window(config.history_window);
         let topology = PoolTopology::pond_with_capacity(config.pool_sockets, config.pool_capacity)?;
-        let monitor = QosMonitor::new(policy.sensitivity_model().clone());
+        let monitor = QosMonitor::new(Arc::clone(policy.shared_sensitivity_model()));
         let hosts: Vec<HostMemory> = (0..config.hosts)
             .map(|_| HostMemory::new(config.local_dram_per_host, config.hypervisor_private))
             .collect();
@@ -314,7 +317,6 @@ impl PondControlPlane {
             mitigation: MitigationManager::new(config.mitigation_budget),
             pool: PondPoolManager::new(&topology),
             telemetry: HypervisorTelemetry::default(),
-            suite: WorkloadSuite::standard(),
             hosts,
             policy,
             monitor,
@@ -599,11 +601,7 @@ impl PondControlPlane {
         // site that forces a pool-peak resample.
         self.pool_dirty = true;
 
-        let workload = self
-            .suite
-            .at(request.workload_index % self.suite.len())
-            .expect("workload index is taken modulo the suite size")
-            .clone();
+        let workload = self.policy.workload(request.workload_index).clone();
         let vm = VirtualMachine::launch(
             request.id,
             VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
@@ -714,11 +712,7 @@ impl PondControlPlane {
         // in this plane's pinned count; only the borrowed mirror moves.
         self.borrowed_slices += lease.slices.len() as u64;
 
-        let workload = self
-            .suite
-            .at(request.workload_index % self.suite.len())
-            .expect("workload index is taken modulo the suite size")
-            .clone();
+        let workload = self.policy.workload(request.workload_index).clone();
         let vm = VirtualMachine::launch(
             request.id,
             VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
@@ -1455,6 +1449,36 @@ mod tests {
         );
         source.assert_pool_conserved();
         dest.assert_pool_conserved();
+    }
+
+    #[test]
+    fn planes_share_the_trained_policy_and_learn_only_their_own_completions() {
+        // The sharded replay builds one plane per pool group from one
+        // trained policy: every plane (and its QoS monitor) must serve the
+        // same copy of the models, suite and seeded history, while each
+        // plane's history learns only from its own departures.
+        let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
+        let config = ControlPlaneConfig::default();
+        let policy = PondPolicy::train(&trace, &config.policy, 5);
+        let mut planes: Vec<PondControlPlane> = (0..512)
+            .map(|_| PondControlPlane::with_policy(config.clone(), policy.clone()).unwrap())
+            .collect();
+        assert!(planes.iter().all(|plane| plane.policy().shares_trained_state_with(&policy)));
+        // One reference from `policy`, then a policy and a monitor per plane.
+        assert_eq!(Arc::strong_count(policy.shared_sensitivity_model()), 1 + 2 * planes.len());
+
+        let request = trace
+            .requests
+            .iter()
+            .find(|r| planes[0].handle_request(r, Duration::from_secs(r.arrival)).is_ok())
+            .expect("a placement");
+        let customer = request.customer;
+        let seeded = policy.history().count(customer);
+        planes[0].handle_departure(VmId(request.id), Duration::from_secs(1_000_000)).unwrap();
+        assert_eq!(planes[0].policy().history().count(customer), seeded + 1);
+        assert!(planes[1..].iter().all(|plane| plane.policy().history().count(customer) == seeded));
+        assert_eq!(policy.history().count(customer), seeded);
+        assert!(planes[0].policy().shares_trained_state_with(&policy));
     }
 
     #[test]

@@ -937,9 +937,10 @@ fn finish_decommission_if_drained(
 /// Replays a trace through N pool groups on one time-ordered event queue and
 /// returns per-group and fleet-wide outcomes.
 ///
-/// The prediction models are trained once and cloned into every group's
-/// control plane (each group then learns its own online customer history
-/// from the departures it sees).
+/// The prediction models are trained once and shared by every group's
+/// control plane: each group's policy clone holds the one copy of the
+/// models, workload suite and training-seeded customer history, and learns
+/// its own online history from the departures it sees.
 ///
 /// # Errors
 ///

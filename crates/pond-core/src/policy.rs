@@ -24,8 +24,9 @@ use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use workload_model::telemetry::TelemetrySampler;
-use workload_model::WorkloadSuite;
+use workload_model::{WorkloadProfile, WorkloadSuite};
 
 /// Configuration of the full Pond policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,15 +86,22 @@ impl PolicyStats {
 }
 
 /// The trained Pond policy.
+///
+/// The trained state — configuration, both models, the workload suite and
+/// the telemetry sampler — is immutable and sits behind [`Arc`]s, as does
+/// the training-seeded part of the customer history. A clone therefore
+/// costs reference-count bumps plus the state the clone learns itself: its
+/// own completion history, known-workload sets and statistics. A fleet of
+/// pool groups serves one copy of the models.
 #[derive(Debug, Clone)]
 pub struct PondPolicy {
-    config: PondPolicyConfig,
-    sensitivity: SensitivityModel,
-    untouched: UntouchedMemoryModel,
+    config: Arc<PondPolicyConfig>,
+    sensitivity: Arc<SensitivityModel>,
+    untouched: Arc<UntouchedMemoryModel>,
     history: CustomerHistory,
     workload_history: BTreeMap<CustomerId, BTreeSet<usize>>,
-    suite: WorkloadSuite,
-    sampler: TelemetrySampler,
+    suite: Arc<WorkloadSuite>,
+    sampler: Arc<TelemetrySampler>,
     stats: PolicyStats,
 }
 
@@ -180,22 +188,24 @@ impl PondPolicy {
         );
 
         // Seed the runtime history with the training period: the policy
-        // starts knowing the customers it has already seen.
-        let mut history = CustomerHistory::new();
+        // starts knowing the customers it has already seen. The seeded
+        // observations form the history's shared base.
+        let history = CustomerHistory::seeded(
+            train_slice.iter().map(|request| (request.customer, request.untouched_fraction)),
+        );
         let mut workload_history: BTreeMap<CustomerId, BTreeSet<usize>> = BTreeMap::new();
         for request in train_slice {
-            history.record(request.customer, request.untouched_fraction);
             workload_history.entry(request.customer).or_default().insert(request.workload_index);
         }
 
         PondPolicy {
-            config: config.clone(),
-            sensitivity,
-            untouched,
+            config: Arc::new(config.clone()),
+            sensitivity: Arc::new(sensitivity),
+            untouched: Arc::new(untouched),
             history,
             workload_history,
-            suite,
-            sampler: TelemetrySampler::default(),
+            suite: Arc::new(suite),
+            sampler: Arc::new(TelemetrySampler::default()),
             stats: PolicyStats::default(),
         }
     }
@@ -213,6 +223,32 @@ impl PondPolicy {
     /// The trained sensitivity model.
     pub fn sensitivity_model(&self) -> &SensitivityModel {
         &self.sensitivity
+    }
+
+    /// The shared handle on the trained sensitivity model, for the QoS
+    /// monitor of each control plane serving this policy.
+    pub(crate) fn shared_sensitivity_model(&self) -> &Arc<SensitivityModel> {
+        &self.sensitivity
+    }
+
+    /// Whether `other` shares this policy's trained state — configuration,
+    /// both models, suite, sampler and the history's training-seeded base —
+    /// rather than holding copies of it.
+    #[cfg(test)]
+    pub(crate) fn shares_trained_state_with(&self, other: &PondPolicy) -> bool {
+        Arc::ptr_eq(&self.config, &other.config)
+            && Arc::ptr_eq(&self.sensitivity, &other.sensitivity)
+            && Arc::ptr_eq(&self.untouched, &other.untouched)
+            && Arc::ptr_eq(&self.suite, &other.suite)
+            && Arc::ptr_eq(&self.sampler, &other.sampler)
+            && self.history.shares_base_with(&other.history)
+    }
+
+    /// The workload a request runs (its index taken modulo the suite size).
+    pub(crate) fn workload(&self, workload_index: usize) -> &WorkloadProfile {
+        self.suite
+            .at(workload_index % self.suite.len())
+            .expect("workload index is taken modulo the suite size")
     }
 
     /// The trained untouched-memory model.
@@ -258,11 +294,7 @@ impl PondPolicy {
             .get(&request.customer)
             .is_some_and(|seen| seen.contains(&request.workload_index));
         if has_history {
-            let workload = self
-                .suite
-                .at(request.workload_index % self.suite.len())
-                .expect("workload index is taken modulo the suite size");
-            let counters = self.sampler.sample(workload, request.id);
+            let counters = self.sampler.sample(self.workload(request.workload_index), request.id);
             let insensitive = self
                 .sensitivity
                 .try_is_insensitive(&counters)

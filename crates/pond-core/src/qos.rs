@@ -14,6 +14,7 @@ use hypervisor_sim::reconfig::{ReconfigurationEngine, ReconfigurationReport};
 use hypervisor_sim::vm::VirtualMachine;
 use pond_ml::MlError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use workload_model::telemetry::TmaCounters;
 
 /// The decision the QoS monitor takes for one VM.
@@ -50,13 +51,16 @@ impl VmObservation {
 /// The QoS monitor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QosMonitor {
-    sensitivity: SensitivityModel,
+    sensitivity: Arc<SensitivityModel>,
 }
 
 impl QosMonitor {
-    /// Creates a monitor around a trained sensitivity model.
-    pub fn new(sensitivity: SensitivityModel) -> Self {
-        QosMonitor { sensitivity }
+    /// Creates a monitor around a trained sensitivity model, given either
+    /// the model or a shared handle on it. The monitor never mutates the
+    /// model, so the control planes of a fleet all share the policy's one
+    /// copy.
+    pub fn new(sensitivity: impl Into<Arc<SensitivityModel>>) -> Self {
+        QosMonitor { sensitivity: sensitivity.into() }
     }
 
     /// Access to the underlying sensitivity model.

@@ -13,15 +13,21 @@ use pond_ml::dataset::Dataset;
 use pond_ml::gbm::{GbmConfig, GradientBoostedTrees};
 use pond_ml::MlError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Per-customer record of previously observed untouched-memory fractions.
 ///
-/// Each customer's observations are kept sorted as they arrive (one binary
-/// insertion per completed VM), so the percentile features read at every
-/// scheduling decision are O(1) lookups instead of a clone-and-sort of the
-/// customer's whole history — on long traces a popular customer accumulates
-/// thousands of observations and that sort used to dominate arrival cost.
+/// Each customer's observations live in two sorted lists: a training-seeded
+/// *base*, built once when the policy is trained (or by [`replay_history`])
+/// and shared behind an [`Arc`] by every clone, and a *delta* of the
+/// observations this copy recorded itself. Cloning a history therefore
+/// costs a reference-count bump plus the delta, so the per-pod policy copies
+/// of a sharded fleet share one training history, and
+/// [`CustomerHistory::record`] is one binary insertion into the (small)
+/// delta instead of into the customer's whole history. The percentile
+/// features read at every scheduling decision pick each rank from the union
+/// of the two lists by binary search, in O(log n).
 ///
 /// By default the history grows with the trace — the one deliberate
 /// trace-length memory term in a streamed replay. [`CustomerHistory::set_window`]
@@ -29,9 +35,15 @@ use std::collections::{BTreeMap, VecDeque};
 /// observations recorded *after* the window was set are kept per customer
 /// (recording the `window+1`-th evicts the oldest), so multi-million-VM
 /// streams run in O(customers × window) instead of O(completions).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CustomerHistory {
-    observations: BTreeMap<CustomerId, Vec<f64>>,
+    /// Training-seeded observations, sorted per customer. Shared by every
+    /// clone and never mutated after seeding, so window eviction (which
+    /// only removes values recorded after the window was set) always finds
+    /// its value in `delta`.
+    base: Arc<BTreeMap<CustomerId, Vec<f64>>>,
+    /// Observations recorded by this copy, sorted per customer.
+    delta: BTreeMap<CustomerId, Vec<f64>>,
     /// Cap on windowed observations per customer (`None`: unbounded).
     window: Option<usize>,
     /// Per-customer windowed observations in arrival order — the eviction
@@ -44,6 +56,34 @@ impl CustomerHistory {
     /// Creates an empty history.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A history whose shared base holds `observations`, in arrival order:
+    /// the same observations, in the same sorted order, as
+    /// [`CustomerHistory::record`]ing each one into an empty history, but
+    /// sorted once per customer instead of inserted one by one. Clones
+    /// share the base; nothing mutates it afterwards.
+    pub(crate) fn seeded(observations: impl IntoIterator<Item = (CustomerId, f64)>) -> Self {
+        let mut base: BTreeMap<CustomerId, Vec<f64>> = BTreeMap::new();
+        for (customer, untouched_fraction) in observations {
+            if let Some(value) = Self::observation(untouched_fraction) {
+                base.entry(customer).or_default().push(value);
+            }
+        }
+        for values in base.values_mut() {
+            // `record` inserts each value before the equal ones already
+            // present (it only compares with `<`): reversing the arrival
+            // order and sorting stably reproduces that order, ±0.0 included.
+            values.reverse();
+            values.sort_by(|a, b| a.partial_cmp(b).expect("NaN observations are dropped"));
+        }
+        CustomerHistory { base: Arc::new(base), ..Self::default() }
+    }
+
+    /// The value [`CustomerHistory::record`] stores for an observed
+    /// untouched fraction: clamped to `[0, 1]`, or `None` for NaN.
+    fn observation(untouched_fraction: f64) -> Option<f64> {
+        (!untouched_fraction.is_nan()).then(|| untouched_fraction.clamp(0.0, 1.0))
     }
 
     /// Caps the number of observations kept per customer from this point
@@ -62,11 +102,15 @@ impl CustomerHistory {
         self.window
     }
 
-    /// Records the untouched fraction observed for a completed VM,
-    /// maintaining the customer's observations in sorted order and evicting
-    /// the oldest windowed observation when a cap is set.
+    /// Records the untouched fraction observed for a completed VM: clamped
+    /// to `[0, 1]` and inserted in sorted order into this copy's delta,
+    /// evicting the customer's oldest windowed observation when a cap is
+    /// set. A NaN observation carries no information and would break the
+    /// sorted order, so it is dropped (validated requests never carry one).
     pub fn record(&mut self, customer: CustomerId, untouched_fraction: f64) {
-        let value = untouched_fraction.clamp(0.0, 1.0);
+        let Some(value) = Self::observation(untouched_fraction) else {
+            return;
+        };
         if let Some(window) = self.window {
             if window == 0 {
                 return;
@@ -75,21 +119,30 @@ impl CustomerHistory {
             if arrivals.len() == window {
                 let evicted = arrivals.pop_front().expect("window is positive");
                 let values =
-                    self.observations.get_mut(&customer).expect("every arrival has an observation");
+                    self.delta.get_mut(&customer).expect("every arrival has an observation");
                 let at = values.partition_point(|&v| v < evicted);
                 debug_assert_eq!(values.get(at), Some(&evicted));
                 values.remove(at);
             }
             arrivals.push_back(value);
         }
-        let values = self.observations.entry(customer).or_default();
+        let values = self.delta.entry(customer).or_default();
         let at = values.partition_point(|&v| v < value);
         values.insert(at, value);
     }
 
+    /// The customer's sorted base and delta observations.
+    fn lists(&self, customer: CustomerId) -> (&[f64], &[f64]) {
+        (
+            self.base.get(&customer).map_or(&[], Vec::as_slice),
+            self.delta.get(&customer).map_or(&[], Vec::as_slice),
+        )
+    }
+
     /// Number of observations for a customer.
     pub fn count(&self, customer: CustomerId) -> usize {
-        self.observations.get(&customer).map_or(0, Vec::len)
+        let (base, delta) = self.lists(customer);
+        base.len() + delta.len()
     }
 
     /// Whether the customer has any history at all.
@@ -98,18 +151,77 @@ impl CustomerHistory {
     }
 
     /// The 0/25/50/75/100th percentiles of the customer's past untouched
-    /// fractions (Figure 14 lists these as the model's key features).
-    /// Returns `None` when the customer has no history.
+    /// fractions (Figure 14 lists these as the model's key features): the
+    /// observations at sorted positions `round(q × (n − 1))`. Returns `None`
+    /// when the customer has no history.
     pub fn percentiles(&self, customer: CustomerId) -> Option<[f64; 5]> {
-        let sorted = self.observations.get(&customer)?;
-        if sorted.is_empty() {
+        let (base, delta) = self.lists(customer);
+        let n = base.len() + delta.len();
+        if n == 0 {
             return None;
         }
-        let pick = |q: f64| {
-            let pos = (q * (sorted.len() - 1) as f64).round() as usize;
-            sorted[pos]
-        };
+        let pick = |q: f64| select(delta, base, (q * (n - 1) as f64).round() as usize);
         Some([pick(0.0), pick(0.25), pick(0.5), pick(0.75), pick(1.0)])
+    }
+
+    /// Whether `other` shares this history's training-seeded base rather
+    /// than holding a copy of it.
+    #[cfg(test)]
+    pub(crate) fn shares_base_with(&self, other: &CustomerHistory) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// Every customer's observations, merged in sorted order.
+    fn merged(&self) -> BTreeMap<CustomerId, Vec<f64>> {
+        let customers: BTreeSet<CustomerId> =
+            self.base.keys().chain(self.delta.keys()).copied().collect();
+        customers
+            .into_iter()
+            .map(|customer| {
+                let (base, delta) = self.lists(customer);
+                (customer, (0..base.len() + delta.len()).map(|k| select(delta, base, k)).collect())
+            })
+            .collect()
+    }
+}
+
+/// Two histories are equal when every customer's merged observations and
+/// the window state agree, however the observations split into base and
+/// delta.
+impl PartialEq for CustomerHistory {
+    fn eq(&self, other: &Self) -> bool {
+        self.window == other.window
+            && self.arrivals == other.arrivals
+            && self.merged() == other.merged()
+    }
+}
+
+/// The observation at sorted position `k` of the union of two sorted lists,
+/// in O(log n). The union orders a `delta` value before an equal `base`
+/// value, as inserting the delta into the base one [`CustomerHistory::record`]
+/// at a time would (only ±0.0 can tell the two apart).
+///
+/// Binary search for `i`, the number of delta values among the first
+/// `k + 1`: the smallest `i` whose remaining delta head is past the taken
+/// base tail.
+fn select(delta: &[f64], base: &[f64], k: usize) -> f64 {
+    let m = k + 1;
+    debug_assert!(m <= delta.len() + base.len());
+    let (mut lo, mut hi) = (m.saturating_sub(base.len()), m.min(delta.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if base[m - i - 1] < delta[i] {
+            hi = i;
+        } else {
+            lo = i + 1;
+        }
+    }
+    let (i, j) = (lo, m - lo);
+    match (i.checked_sub(1).map(|i| delta[i]), j.checked_sub(1).map(|j| base[j])) {
+        (Some(d), Some(b)) if b < d => d,
+        (_, Some(b)) => b,
+        (Some(d), None) => d,
+        (None, None) => unreachable!("k is in range"),
     }
 }
 
@@ -354,17 +466,101 @@ pub fn evaluate_model(
 /// Replays the customer history of a request stream (used to seed evaluation
 /// of held-out data with the training period's history).
 pub fn replay_history(requests: &[VmRequest]) -> CustomerHistory {
-    let mut history = CustomerHistory::new();
-    for request in requests {
-        history.record(request.customer, request.untouched_fraction);
+    CustomerHistory::seeded(requests.iter().map(|r| (r.customer, r.untouched_fraction)))
+}
+
+/// The single-`Vec` customer history the base/delta split replaced, kept
+/// verbatim as the oracle its proptest compares against.
+#[cfg(test)]
+mod reference {
+    use cluster_sim::trace::CustomerId;
+    use serde::{Deserialize, Serialize};
+    use std::collections::{BTreeMap, VecDeque};
+
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct CustomerHistory {
+        observations: BTreeMap<CustomerId, Vec<f64>>,
+        /// Cap on windowed observations per customer (`None`: unbounded).
+        window: Option<usize>,
+        /// Per-customer windowed observations in arrival order — the eviction
+        /// queue backing the cap. Empty while `window` is `None`, so the
+        /// unbounded (default) path carries no extra state.
+        arrivals: BTreeMap<CustomerId, VecDeque<f64>>,
     }
-    history
+
+    impl CustomerHistory {
+        /// Creates an empty history.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        pub fn set_window(&mut self, window: Option<usize>) {
+            self.window = window;
+        }
+
+        /// Records the untouched fraction observed for a completed VM,
+        /// maintaining the customer's observations in sorted order and evicting
+        /// the oldest windowed observation when a cap is set.
+        pub fn record(&mut self, customer: CustomerId, untouched_fraction: f64) {
+            let value = untouched_fraction.clamp(0.0, 1.0);
+            if let Some(window) = self.window {
+                if window == 0 {
+                    return;
+                }
+                let arrivals = self.arrivals.entry(customer).or_default();
+                if arrivals.len() == window {
+                    let evicted = arrivals.pop_front().expect("window is positive");
+                    let values = self
+                        .observations
+                        .get_mut(&customer)
+                        .expect("every arrival has an observation");
+                    let at = values.partition_point(|&v| v < evicted);
+                    debug_assert_eq!(values.get(at), Some(&evicted));
+                    values.remove(at);
+                }
+                arrivals.push_back(value);
+            }
+            let values = self.observations.entry(customer).or_default();
+            let at = values.partition_point(|&v| v < value);
+            values.insert(at, value);
+        }
+
+        /// Number of observations for a customer.
+        pub fn count(&self, customer: CustomerId) -> usize {
+            self.observations.get(&customer).map_or(0, Vec::len)
+        }
+
+        /// Whether the customer has any history at all.
+        pub fn has_history(&self, customer: CustomerId) -> bool {
+            self.count(customer) > 0
+        }
+
+        /// The 0/25/50/75/100th percentiles of the customer's past untouched
+        /// fractions (Figure 14 lists these as the model's key features).
+        /// Returns `None` when the customer has no history.
+        pub fn percentiles(&self, customer: CustomerId) -> Option<[f64; 5]> {
+            let sorted = self.observations.get(&customer)?;
+            if sorted.is_empty() {
+                return None;
+            }
+            let pick = |q: f64| {
+                let pos = (q * (sorted.len() - 1) as f64).round() as usize;
+                sorted[pos]
+            };
+            Some([pick(0.0), pick(0.25), pick(0.5), pick(0.75), pick(1.0)])
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
+    use proptest::prelude::*;
+
+    /// Observed fractions the history proptest draws from: duplicates, both
+    /// zeros, the clamp bounds and values outside them.
+    const FRACTIONS: [f64; 11] = [0.0, -0.0, 1.0, 0.5, 0.5, 0.25, 0.75, 0.1, 0.9, -0.3, 1.7];
 
     fn requests() -> Vec<VmRequest> {
         // A mid-sized trace: enough VMs (~1000) for the GBM to learn the
@@ -411,6 +607,119 @@ mod tests {
         history.set_window(Some(0));
         history.record(CustomerId(1), 0.2);
         assert_eq!(history.count(CustomerId(1)), 4);
+    }
+
+    #[test]
+    fn nan_observations_are_dropped() {
+        let mut history = CustomerHistory::new();
+        history.record(CustomerId(1), 0.4);
+        history.record(CustomerId(1), f64::NAN);
+        history.record(CustomerId(2), f64::NAN);
+        history.record(CustomerId(1), 0.2);
+        assert_eq!(history.count(CustomerId(1)), 2);
+        assert!(!history.has_history(CustomerId(2)));
+        assert_eq!(history.percentiles(CustomerId(1)), Some([0.2, 0.2, 0.4, 0.4, 0.4]));
+        // A NaN neither fills nor advances a window.
+        history.set_window(Some(1));
+        history.record(CustomerId(1), 0.6);
+        history.record(CustomerId(1), f64::NAN);
+        assert_eq!(history.percentiles(CustomerId(1)).unwrap()[4], 0.6);
+        let seeded = CustomerHistory::seeded([(CustomerId(3), f64::NAN), (CustomerId(3), 0.3)]);
+        assert_eq!(seeded.count(CustomerId(3)), 1);
+    }
+
+    #[test]
+    fn seeded_base_is_shared_by_clones_and_untouched_by_their_records() {
+        let seeded = CustomerHistory::seeded([(CustomerId(1), 0.5), (CustomerId(1), 0.1)]);
+        let mut clone = seeded.clone();
+        assert!(clone.shares_base_with(&seeded));
+        clone.record(CustomerId(1), 0.9);
+        assert!(clone.shares_base_with(&seeded));
+        assert_eq!((seeded.count(CustomerId(1)), clone.count(CustomerId(1))), (2, 3));
+        assert_eq!(clone.percentiles(CustomerId(1)), Some([0.1, 0.5, 0.5, 0.9, 0.9]));
+        // Equality looks at the merged observations, not at the split.
+        let mut unsplit = CustomerHistory::new();
+        for v in [0.5, 0.1, 0.9] {
+            unsplit.record(CustomerId(1), v);
+        }
+        assert_eq!(clone, unsplit);
+        assert_ne!(seeded, unsplit);
+    }
+
+    proptest! {
+        /// The base/delta history answers every query exactly as the
+        /// single-`Vec` reference does, across seeding, recording and window
+        /// changes; and it equals a history that recorded its seed instead.
+        #[test]
+        fn history_matches_the_single_vec_reference(
+            seed in proptest::collection::vec((0u32..4, 0usize..FRACTIONS.len()), 0..40),
+            steps in proptest::collection::vec((0u8..10, 0u32..4, 0usize..FRACTIONS.len()), 1..80)
+        ) {
+            let mut reference = reference::CustomerHistory::new();
+            let mut unsplit = CustomerHistory::new();
+            for &(customer, v) in &seed {
+                reference.record(CustomerId(customer), FRACTIONS[v]);
+                unsplit.record(CustomerId(customer), FRACTIONS[v]);
+            }
+            let mut history = CustomerHistory::seeded(
+                seed.iter().map(|&(customer, v)| (CustomerId(customer), FRACTIONS[v])),
+            );
+            for (op, customer, v) in steps {
+                let window = match op {
+                    0 => Some(None),
+                    1 => Some(Some(0)),
+                    2 | 3 => Some(Some(1 + v % 3)),
+                    _ => None,
+                };
+                match window {
+                    Some(window) => {
+                        reference.set_window(window);
+                        history.set_window(window);
+                        unsplit.set_window(window);
+                    }
+                    None => {
+                        reference.record(CustomerId(customer), FRACTIONS[v]);
+                        history.record(CustomerId(customer), FRACTIONS[v]);
+                        unsplit.record(CustomerId(customer), FRACTIONS[v]);
+                    }
+                }
+                for customer in (0..5).map(CustomerId) {
+                    prop_assert_eq!(history.count(customer), reference.count(customer));
+                    prop_assert_eq!(history.has_history(customer), reference.has_history(customer));
+                    let (got, want) = (history.percentiles(customer), reference.percentiles(customer));
+                    prop_assert_eq!(got, want);
+                    // Down to the sign of a zero.
+                    prop_assert_eq!(got.map(|p| p.map(f64::to_bits)), want.map(|p| p.map(f64::to_bits)));
+                }
+                prop_assert!(history == unsplit);
+            }
+        }
+
+        /// Picking rank `k` from two sorted lists equals indexing their
+        /// stable merge, delta first on ties.
+        #[test]
+        fn select_indexes_the_merged_lists(
+            delta in proptest::collection::vec(0usize..FRACTIONS.len(), 0..12),
+            base in proptest::collection::vec(0usize..FRACTIONS.len(), 0..12)
+        ) {
+            let sorted = |picks: Vec<usize>| {
+                let mut values: Vec<f64> =
+                    picks.into_iter().map(|v| FRACTIONS[v].clamp(0.0, 1.0)).collect();
+                values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                values
+            };
+            let (delta, base) = (sorted(delta), sorted(base));
+            // Inserting the delta back to front, each value before its
+            // equals, keeps the delta's own order ahead of equal base values.
+            let mut merged = base.clone();
+            for &value in delta.iter().rev() {
+                let at = merged.partition_point(|&v| v < value);
+                merged.insert(at, value);
+            }
+            for (k, expected) in merged.iter().enumerate() {
+                prop_assert_eq!(select(&delta, &base, k).to_bits(), expected.to_bits());
+            }
+        }
     }
 
     #[test]
